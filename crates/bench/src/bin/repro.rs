@@ -36,7 +36,8 @@
 //! `--points`; every point is deterministic in `--seed`). `repro perf`
 //! runs the host-side simulator micro-benchmark (a frozen fixed-seed
 //! sweep over both analytical executors) and writes its machine-readable
-//! report to `--json PATH` (default `BENCH_6.json`); `--baseline PATH`
+//! report to `--json PATH` (default `results/perf.json`, so a bare run
+//! never overwrites a committed `BENCH_*.json`); `--baseline PATH`
 //! embeds a previous report and computes the speedup. `perf` exits 1
 //! only on a correctness violation — same-seed digests differing between
 //! its paired runs, push/pull executors disagreeing on query results, or
@@ -207,7 +208,7 @@ fn usage() -> String {
          every point is deterministic in (--seed, point index).\n\
          perf runs the frozen fixed-seed simulator micro-benchmark over\n\
          both analytical executors and writes the report to --json PATH\n\
-         (default BENCH_6.json); --baseline PATH embeds a prior report\n\
+         (default results/perf.json); --baseline PATH embeds a prior report\n\
          and computes the speedup; --phase NAME runs a single phase and\n\
          --iters N repeats each phase N times, reporting the median\n\
          warm run. It fails (exit 1) only on a correctness violation,\n\
@@ -661,9 +662,22 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 /// Writes `value` as pretty JSON to `path`, reporting (not aborting) on
 /// failure.
+/// Where `repro perf` writes its report without `--json`: under
+/// `results/`, never over a committed `BENCH_*.json` artifact.
+const PERF_DEFAULT_JSON: &str = "results/perf.json";
+
+/// The `repro perf` report path: `--json PATH`, else [`PERF_DEFAULT_JSON`].
+fn perf_json_path(cli: &Cli) -> &str {
+    cli.json.as_deref().unwrap_or(PERF_DEFAULT_JSON)
+}
+
 fn write_json_to(path: &str, value: &impl serde::Serialize) {
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
+            if let Some(dir) = std::path::Path::new(path).parent() {
+                // Best effort: a missing directory surfaces as the write error.
+                let _ = std::fs::create_dir_all(dir);
+            }
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("[repro] failed to write {path}: {e}");
             } else {
@@ -911,11 +925,7 @@ fn main() {
         if let Some(b) = baseline {
             perf::attach_baseline(&mut report, b);
         }
-        let out = cli
-            .json
-            .clone()
-            .unwrap_or_else(|| "BENCH_6.json".to_string());
-        write_json_to(&out, &report);
+        write_json_to(perf_json_path(&cli), &report);
         println!("{}", perf::render(&report));
         if !perf::verdict_ok(&report) {
             eprintln!("[repro] perf micro-sweep found a correctness violation");
@@ -1255,6 +1265,29 @@ mod tests {
         assert_eq!(cli.perf_baseline.as_deref(), Some("BENCH_base.json"));
         let err = parse_args(&args(&["perf", "--json"])).unwrap_err();
         assert!(err.contains("requires a path"), "{err}");
+    }
+
+    #[test]
+    fn bare_perf_never_writes_a_committed_bench_artifact() {
+        for argv in [
+            &["perf"][..],
+            &["perf", "--quick"],
+            &["perf", "--baseline", "BENCH_10.json"],
+            &["perf", "--phase", "oltp", "--iters", "3"],
+            &["perf", "fig2"],
+        ] {
+            let cli = parse_args(&args(argv)).unwrap();
+            let path = std::path::Path::new(perf_json_path(&cli));
+            assert_eq!(path, std::path::Path::new("results/perf.json"), "{argv:?}");
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert!(!name.starts_with("BENCH_"), "{argv:?} writes {name}");
+        }
+        let cli = parse_args(&args(&["perf", "--json", "BENCH_13.json"])).unwrap();
+        assert_eq!(
+            perf_json_path(&cli),
+            "BENCH_13.json",
+            "explicit --json wins"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use dbsens_storage::btree::RowId;
 use dbsens_storage::lock::TxnId;
 use dbsens_storage::schema::{ColType, Schema};
 use dbsens_storage::value::Value;
-use dbsens_storage::wal::{scan_log, WalRecord};
+use dbsens_storage::wal::{scan_log, LogScan, WalRecord};
 use dbsens_workloads::driver::{build_workload, WorkloadSpec};
 use dbsens_workloads::scale::ScaleCfg;
 use serde::{Deserialize, Serialize};
@@ -250,8 +250,8 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 
 /// Replays only committed transactions' data records, in LSN order, onto
 /// the pre-run state: the ground truth a recovered database must match.
-fn oracle_replay(base: &Database, wal_image: &[u8]) -> Database {
-    let committed: BTreeSet<u64> = scan_log(wal_image)
+fn oracle_replay(base: &Database, scan: &LogScan) -> Database {
+    let committed: BTreeSet<u64> = scan
         .records
         .iter()
         .filter_map(|(_, r)| match r {
@@ -259,13 +259,12 @@ fn oracle_replay(base: &Database, wal_image: &[u8]) -> Database {
             _ => None,
         })
         .collect();
-    replay_committed(base, wal_image, &committed)
+    replay_committed(base, scan, &committed)
 }
 
 /// Replays the data records of `committed` transactions, in LSN order,
 /// onto the pre-run state.
-fn replay_committed(base: &Database, wal_image: &[u8], committed: &BTreeSet<u64>) -> Database {
-    let scan = scan_log(wal_image);
+fn replay_committed(base: &Database, scan: &LogScan, committed: &BTreeSet<u64>) -> Database {
     let mut db = base.clone();
     for (lsn, rec) in &scan.records {
         match rec {
@@ -382,18 +381,15 @@ fn run_point(class: CrashClass, seed: u64, point: u64, kill_event: u64) -> Point
             kernel.dispatched_events()
         ));
     }
-    let mut db_ref = db.borrow_mut();
-    let mid_flush = db_ref.wal.has_inflight_flush();
-    // Peek the pre-run state (snapshot 0) for the oracle before the crash
-    // image takes the snapshots away.
-    let snaps = db_ref.take_snapshots();
-    let initial = snaps[0].1.clone();
-    db_ref.set_snapshots(snaps);
-    let image = CrashImage::extract(&mut db_ref, |sectors| {
+    let mid_flush = db.borrow().wal.has_inflight_flush();
+    let image = CrashImage::extract(&mut db.borrow_mut(), |sectors| {
         torn_sector_prefix(seed, point, sectors)
     });
-    drop(db_ref);
-    let wal_image = image.wal_image.clone();
+    // The halted run is dead; free it before recovery builds a new one.
+    drop((db, kernel));
+    // The committed-only oracle replays the surviving log onto the pre-run
+    // state (snapshot 0) before recovery consumes the image.
+    let oracle = oracle_replay(&image.snapshots[0].1, &scan_log(&image.wal_image));
 
     // Recover — for mid-recovery points, in budget-limited rounds with a
     // fresh crash image between rounds (recovery killed and restarted).
@@ -421,7 +417,6 @@ fn run_point(class: CrashClass, seed: u64, point: u64, kill_event: u64) -> Point
         img = CrashImage::extract(&mut d, |_| 0);
     };
 
-    let oracle = oracle_replay(&initial, &wal_image);
     check_invariants(&recovered, &oracle, &mut violations);
 
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -945,9 +940,8 @@ fn run_dist_txn(run: &mut DistRun, k: u64, flow: Flow) {
 /// Commits provable from a shard's durable WAL: local `Commit` records
 /// plus `CoordCommit` decisions (the coordinator's branch commits at the
 /// decision force even if its local `Commit` record was lost).
-fn shard_commit_set(wal_image: &[u8]) -> BTreeSet<u64> {
-    scan_log(wal_image)
-        .records
+fn shard_commit_set(scan: &LogScan) -> BTreeSet<u64> {
+    scan.records
         .iter()
         .filter_map(|(_, r)| match r {
             WalRecord::Commit { txn } | WalRecord::CoordCommit { txn, .. } => Some(*txn),
@@ -1015,7 +1009,7 @@ fn run_dist_point(cfg: &DistVerifyConfig, point: u64, kill_step: u64) -> DistPoi
         run.cl.up[victim] = true;
         for InDoubt { txn, coordinator } in in_doubt {
             let cw = coordinator as usize;
-            let commit = shard_commit_set(run.cl.dbs[cw].wal.image()).contains(&txn);
+            let commit = shard_commit_set(&scan_log(run.cl.dbs[cw].wal.image())).contains(&txn);
             resolve_indoubt(&mut run.cl.dbs[victim], txn, commit);
             if commit {
                 indoubt_commits += 1;
@@ -1029,7 +1023,7 @@ fn run_dist_point(cfg: &DistVerifyConfig, point: u64, kill_step: u64) -> DistPoi
     // Live prepared branches whose coordinator just recovered: cooperative
     // termination — the recovered WAL answers the decision query.
     for (txn, p, c) in run.deferred.clone() {
-        let commit = shard_commit_set(run.cl.dbs[c].wal.image()).contains(&txn);
+        let commit = shard_commit_set(&scan_log(run.cl.dbs[c].wal.image())).contains(&txn);
         if commit {
             run.cl.dbs[p].commit_txn_logged(TxnId(txn));
             run.cl.dbs[p].wal.force_durable();
@@ -1044,14 +1038,11 @@ fn run_dist_point(cfg: &DistVerifyConfig, point: u64, kill_step: u64) -> DistPoi
 
     // Per-shard durability: every shard must match its committed-only
     // oracle (Commit ∪ CoordCommit), with intact indexes and WAL chain.
-    let commit_sets: Vec<BTreeSet<u64>> = run
-        .cl
-        .dbs
-        .iter()
-        .map(|db| shard_commit_set(db.wal.image()))
-        .collect();
-    for (s, commits) in commit_sets.iter().enumerate() {
-        let oracle = replay_committed(&run.cl.initial[s], run.cl.dbs[s].wal.image(), commits);
+    let mut commit_sets: Vec<BTreeSet<u64>> = Vec::new();
+    for (s, db) in run.cl.dbs.iter().enumerate() {
+        let scan = scan_log(db.wal.image());
+        commit_sets.push(shard_commit_set(&scan));
+        let oracle = replay_committed(&run.cl.initial[s], &scan, &commit_sets[s]);
         let mut local = Vec::new();
         check_invariants(&run.cl.dbs[s], &oracle, &mut local);
         violations.extend(local.into_iter().map(|v| format!("shard {s}: {v}")));

@@ -174,11 +174,13 @@ pub struct Database {
     /// Dirty page table (crash-consistency mode only): modeled page →
     /// recLSN, the LSN that first dirtied it since its last write-back.
     dirty_page_lsns: std::collections::BTreeMap<u64, u64>,
-    /// Checkpoint snapshots (crash-consistency mode only): the database
-    /// state at each checkpoint record, keyed by that record's LSN. Index 0
-    /// is the initial state (LSN 0). Snapshots model the on-disk pages a
-    /// durable checkpoint guarantees; recovery redoes forward from the
-    /// newest snapshot whose checkpoint record survives in the durable log.
+    /// Checkpoint snapshots (crash-consistency mode only): the persisted
+    /// table state at each checkpoint record, keyed by that record's LSN.
+    /// Index 0 is the initial state (LSN 0). Snapshots model the on-disk
+    /// pages a durable checkpoint guarantees; recovery redoes forward from
+    /// the newest snapshot whose checkpoint record survives in the durable
+    /// log. They hold no log bytes and no volatile state (see
+    /// [`Database::checkpoint_snapshot`]).
     snapshots: Vec<(u64, Box<Database>)>,
     /// Reusable buffer for snapshotting index key columns in
     /// [`Database::update_row`].
@@ -222,7 +224,7 @@ impl Database {
         self.wal.enable_capture();
         if self.snapshots.is_empty() {
             self.snapshots
-                .push((0, Box::new(self.clone_without_snapshots())));
+                .push((0, Box::new(self.checkpoint_snapshot())));
         }
     }
 
@@ -231,12 +233,37 @@ impl Database {
         self.wal.capture_enabled()
     }
 
-    /// A deep copy of the database with the snapshot list left empty
-    /// (snapshot-of-snapshots would compound memory for nothing).
-    fn clone_without_snapshots(&self) -> Database {
-        let mut c = self.clone();
-        c.snapshots = Vec::new();
-        c
+    /// The persisted state a checkpoint snapshots: tables, page layout,
+    /// buffer pool and catalog counters. The log is not copied — it lives
+    /// once, in this database's [`Wal`], and recovery installs the durable
+    /// log over the snapshot — so the snapshot gets an empty log with
+    /// capture on ([`Database::crash_consistency`] holds, and deletes keep
+    /// ghost slots). Locks, latches, stall/victim marks, the ATT and the
+    /// dirty page table are volatile ([`Database::clear_recovery_state`]
+    /// wipes them at restart) and start empty, as do nested snapshots.
+    fn checkpoint_snapshot(&self) -> Database {
+        let mut wal = Wal::new();
+        wal.enable_capture();
+        Database {
+            row_scale: self.row_scale,
+            tables: self.tables.clone(),
+            space: self.space.clone(),
+            bufferpool: self.bufferpool.clone(),
+            wal,
+            locks: LockManager::new(),
+            latches: LatchTable::new(),
+            cost: self.cost.clone(),
+            next_txn: self.next_txn,
+            dirty_pages: dbsens_hwsim::fx::fx_set(),
+            session_region: self.session_region,
+            batch_region: self.batch_region,
+            stalled_txns: dbsens_hwsim::fx::fx_set(),
+            victim_txns: dbsens_hwsim::fx::fx_set(),
+            att: std::collections::BTreeMap::new(),
+            dirty_page_lsns: std::collections::BTreeMap::new(),
+            snapshots: Vec::new(),
+            keycol_scratch: Vec::new(),
+        }
     }
 
     /// Marks `txn` as stalled in fault recovery (e.g. retrying a failed
@@ -756,9 +783,7 @@ impl Database {
             },
             0,
         );
-        let kept = std::mem::take(&mut self.snapshots);
-        let snap = Box::new(self.clone_without_snapshots());
-        self.snapshots = kept;
+        let snap = Box::new(self.checkpoint_snapshot());
         self.snapshots.push((lsn.0, snap));
         // Keep the initial snapshot plus the last few checkpoints; older
         // intermediates can never win the recovery-base search.
@@ -925,6 +950,52 @@ mod tests {
         let (db, t) = setup();
         assert_eq!(db.modeled_row(t, RowId(10)), 1000);
         assert_eq!(db.modeled_row(t, RowId(10_000)), 4999);
+    }
+
+    #[test]
+    fn checkpoint_snapshots_hold_no_log_bytes() {
+        let mut db = Database::new(100.0, 1 << 30);
+        let schema = Schema::new(&[("id", ColType::Int), ("pad", ColType::Str(1000))]);
+        let rows: Vec<Row> = (0..20)
+            .map(|i| vec![Value::Int(i), Value::Str(String::new())])
+            .collect();
+        let t = db.create_table("t", schema, rows);
+        db.create_index(t, "pk", &[0]);
+        db.enable_crash_consistency();
+        let mut checkpoints = 0;
+        while db.wal.image().len() < 4 << 20 {
+            let tx = db.begin_txn();
+            db.begin_txn_logged(tx);
+            for i in 0..20 {
+                let pad = Value::Str(format!("{checkpoints:>1000}"));
+                db.update_row_logged(tx, t, RowId(i), |r| r[1] = pad);
+            }
+            db.commit_txn_logged(tx);
+            db.wal.flush_for_commit();
+            db.wal.flush_durable();
+            // An open transaction at the checkpoint lands in its record,
+            // never in the snapshot.
+            let open = db.begin_txn();
+            db.begin_txn_logged(open);
+            db.log_checkpoint();
+            db.rollback_txn(open);
+            checkpoints += 1;
+        }
+        assert!(checkpoints > 5, "only {checkpoints} checkpoints");
+        let snaps = db.take_snapshots();
+        assert_eq!(snaps.len(), 5, "initial snapshot plus the last four");
+        for (lsn, snap) in &snaps {
+            assert!(snap.wal.image().is_empty(), "snapshot at {lsn} holds log");
+            assert!(snap.crash_consistency());
+            assert!(snap.active_logged_txns().is_empty());
+            assert!(snap.snapshots.is_empty());
+        }
+        let newest = &snaps.last().unwrap().1;
+        assert_eq!(
+            newest.table(t).heap.get(RowId(0)),
+            db.table(t).heap.get(RowId(0)),
+            "the newest snapshot holds the checkpointed table state"
+        );
     }
 
     #[test]

@@ -41,16 +41,21 @@ impl CrashImage {
     /// Renders the crash image of a halted database: every durable log
     /// byte, a torn tail of the oldest in-flight flush chosen by
     /// `keep_sectors`, and the checkpoint snapshots.
+    ///
+    /// Both move out of `db` rather than being copied
+    /// ([`Wal::take_crash_image`]): the halted database is dead, and the
+    /// caller must not read its log or snapshots afterwards (its log
+    /// counters survive).
     pub fn extract(db: &mut Database, keep_sectors: impl FnOnce(u64) -> u64) -> CrashImage {
         CrashImage {
             snapshots: db.take_snapshots(),
-            wal_image: db.wal.crash_image(keep_sectors),
+            wal_image: db.wal.take_crash_image(keep_sectors),
         }
     }
 }
 
 /// What recovery did, for durability reports and modeled recovery time.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Committed transactions whose effects the log guarantees.
     pub committed_txns: u64,
@@ -97,16 +102,17 @@ impl RecoveryReport {
     }
 }
 
-/// The per-operation redo/undo images recoverable from a data record.
-fn undo_op_of(rec: &WalRecord) -> Option<(u64, UndoOp)> {
+/// The undo image of a data record, taken by value so the row images move
+/// into the [`UndoOp`].
+fn undo_op_of(rec: WalRecord) -> Option<(u64, UndoOp)> {
     match rec {
         WalRecord::Insert {
             txn, table, rid, ..
         } => Some((
-            *txn,
+            txn,
             UndoOp::Insert {
-                table: TableId(*table as usize),
-                rid: RowId(*rid),
+                table: TableId(table as usize),
+                rid: RowId(rid),
             },
         )),
         WalRecord::Update {
@@ -116,11 +122,11 @@ fn undo_op_of(rec: &WalRecord) -> Option<(u64, UndoOp)> {
             before,
             ..
         } => Some((
-            *txn,
+            txn,
             UndoOp::Update {
-                table: TableId(*table as usize),
-                rid: RowId(*rid),
-                before: before.clone(),
+                table: TableId(table as usize),
+                rid: RowId(rid),
+                before,
             },
         )),
         WalRecord::Delete {
@@ -129,15 +135,69 @@ fn undo_op_of(rec: &WalRecord) -> Option<(u64, UndoOp)> {
             rid,
             row,
         } => Some((
-            *txn,
+            txn,
             UndoOp::Delete {
-                table: TableId(*table as usize),
-                rid: RowId(*rid),
-                row: row.clone(),
+                table: TableId(table as usize),
+                rid: RowId(rid),
+                row,
             },
         )),
         _ => None,
     }
+}
+
+/// Repeats one record's history on `db`; returns whether it was a data or
+/// compensation record. The redo images (an insert's row, an update's
+/// after image, a CLR's row) are moved out of `rec` — the undo pass needs
+/// only an update's before image and a delete's row, which stay.
+fn redo_record(db: &mut Database, lsn: u64, rec: &mut WalRecord) -> bool {
+    match rec {
+        WalRecord::Insert {
+            table, rid, row, ..
+        } => {
+            let row = std::mem::take(row);
+            let ok = db.restore_row(TableId(*table as usize), RowId(*rid), row);
+            assert!(ok, "redo insert landed on an occupied slot (lsn {lsn})");
+        }
+        WalRecord::Update {
+            table, rid, after, ..
+        } => {
+            let image = std::mem::take(after);
+            let ok = db.update_row(TableId(*table as usize), RowId(*rid), |r| *r = image);
+            assert!(ok, "redo update targets a missing row (lsn {lsn})");
+        }
+        WalRecord::Delete { table, rid, .. } => {
+            let old = db.delete_row(TableId(*table as usize), RowId(*rid));
+            assert!(
+                old.is_some(),
+                "redo delete targets a missing row (lsn {lsn})"
+            );
+        }
+        WalRecord::Clr {
+            table, rid, action, ..
+        } => {
+            let table = TableId(*table as usize);
+            let rid = RowId(*rid);
+            match action {
+                ClrAction::Remove => {
+                    db.delete_row(table, rid);
+                }
+                ClrAction::Reinsert { row } => {
+                    let ok = db.restore_row(table, rid, std::mem::take(row));
+                    assert!(
+                        ok,
+                        "redo CLR reinsert landed on an occupied slot (lsn {lsn})"
+                    );
+                }
+                ClrAction::SetTo { row } => {
+                    let image = std::mem::take(row);
+                    db.update_row(table, rid, |r| *r = image);
+                }
+            }
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Recovers a database from a crash image.
@@ -153,7 +213,7 @@ fn undo_op_of(rec: &WalRecord) -> Option<(u64, UndoOp)> {
 /// Panics if the image has no snapshots (every capture-mode database starts
 /// with the initial LSN-0 snapshot) or if a redo record contradicts the
 /// snapshot state (both indicate a harness bug, not a simulated failure).
-pub fn recover(mut image: CrashImage, undo_budget: Option<usize>) -> (Database, RecoveryReport) {
+pub fn recover(image: CrashImage, undo_budget: Option<usize>) -> (Database, RecoveryReport) {
     let scan = scan_log(&image.wal_image);
     let mut report = RecoveryReport {
         torn_tail: scan.torn,
@@ -207,7 +267,9 @@ pub fn recover(mut image: CrashImage, undo_budget: Option<usize>) -> (Database, 
 
     // --- pick the redo base ----------------------------------------------
     // The newest snapshot whose checkpoint record survived in the durable
-    // log (the initial LSN-0 snapshot always qualifies).
+    // log (the initial LSN-0 snapshot always qualifies). Snapshots hold no
+    // log: the durable image moves in as the recovered log, rebuilt from
+    // this one scan.
     let base_idx = image
         .snapshots
         .iter()
@@ -215,77 +277,17 @@ pub fn recover(mut image: CrashImage, undo_budget: Option<usize>) -> (Database, 
         .expect("crash image holds at least the initial snapshot");
     report.checkpoint_lsn = image.snapshots[base_idx].0;
     let mut db = *image.snapshots[base_idx].1.clone();
-    db.wal = Wal::from_image(image.wal_image.clone());
+    db.wal = Wal::from_scanned(image.wal_image, &scan);
     db.clear_recovery_state();
-    db.set_snapshots(std::mem::take(&mut image.snapshots));
+    db.set_snapshots(image.snapshots);
 
     // --- redo: repeat history after the checkpoint ------------------------
-    for (lsn, rec) in &scan.records {
-        if lsn.0 <= report.checkpoint_lsn {
-            continue;
-        }
-        let applied = match rec {
-            WalRecord::Insert {
-                table, rid, row, ..
-            } => {
-                let ok = db.restore_row(TableId(*table as usize), RowId(*rid), row.clone());
-                assert!(ok, "redo insert landed on an occupied slot (lsn {})", lsn.0);
-                true
-            }
-            WalRecord::Update {
-                table, rid, after, ..
-            } => {
-                let image = after.clone();
-                let ok = db.update_row(TableId(*table as usize), RowId(*rid), |r| *r = image);
-                assert!(ok, "redo update targets a missing row (lsn {})", lsn.0);
-                true
-            }
-            WalRecord::Delete { table, rid, .. } => {
-                let old = db.delete_row(TableId(*table as usize), RowId(*rid));
-                assert!(
-                    old.is_some(),
-                    "redo delete targets a missing row (lsn {})",
-                    lsn.0
-                );
-                true
-            }
-            WalRecord::Clr {
-                table, rid, action, ..
-            } => {
-                let table = TableId(*table as usize);
-                let rid = RowId(*rid);
-                match action {
-                    ClrAction::Remove => {
-                        db.delete_row(table, rid);
-                    }
-                    ClrAction::Reinsert { row } => {
-                        let ok = db.restore_row(table, rid, row.clone());
-                        assert!(
-                            ok,
-                            "redo CLR reinsert landed on an occupied slot (lsn {})",
-                            lsn.0
-                        );
-                    }
-                    ClrAction::SetTo { row } => {
-                        let image = row.clone();
-                        db.update_row(table, rid, |r| *r = image);
-                    }
-                }
-                true
-            }
-            _ => false,
-        };
-        if applied {
-            report.redo_records += 1;
-        }
-    }
-
-    // --- undo losers ------------------------------------------------------
-    // A loser appeared in the log but neither committed nor finished
-    // aborting. Its uncompensated data operations are reversed newest-first
-    // (one global descending-LSN pass), each writing a CLR; a finished
-    // loser is closed with `Abort`. Prepared-but-undecided transactions are
-    // NOT losers: their effects stay applied until in-doubt resolution.
+    // One consuming pass over the scan: redo moves out the images it
+    // applies, and each loser's uncompensated data operations keep their
+    // undo images for the undo pass. A loser appeared in the log but
+    // neither committed nor finished aborting. Prepared-but-undecided
+    // transactions are NOT losers: their effects stay applied until
+    // in-doubt resolution.
     let losers: BTreeSet<u64> = seen
         .iter()
         .copied()
@@ -293,7 +295,10 @@ pub fn recover(mut image: CrashImage, undo_budget: Option<usize>) -> (Database, 
         .collect();
     let mut to_undo: Vec<(u64, u64, UndoOp)> = Vec::new(); // (lsn, txn, op)
     let mut remaining: BTreeMap<u64, usize> = BTreeMap::new();
-    for (lsn, rec) in &scan.records {
+    for (lsn, mut rec) in scan.records {
+        if lsn.0 > report.checkpoint_lsn && redo_record(&mut db, lsn.0, &mut rec) {
+            report.redo_records += 1;
+        }
         let Some((txn, op)) = undo_op_of(rec) else {
             continue;
         };
@@ -302,6 +307,11 @@ pub fn recover(mut image: CrashImage, undo_budget: Option<usize>) -> (Database, 
             *remaining.entry(txn).or_insert(0) += 1;
         }
     }
+
+    // --- undo losers ------------------------------------------------------
+    // Losers' uncompensated data operations are reversed newest-first (one
+    // global descending-LSN pass), each writing a CLR; a finished loser is
+    // closed with `Abort`.
     report.losers_undone = losers.len() as u64;
     let mut budget = undo_budget.unwrap_or(usize::MAX);
     to_undo.sort_by_key(|e| std::cmp::Reverse(e.0));
@@ -351,9 +361,9 @@ pub fn resolve_indoubt(db: &mut Database, txn: u64, commit: bool) {
     let scan = scan_log(db.wal.image());
     let mut compensated: BTreeSet<u64> = BTreeSet::new();
     let mut to_undo: Vec<(u64, UndoOp)> = Vec::new();
-    for (lsn, rec) in &scan.records {
+    for (lsn, rec) in scan.records {
         if let WalRecord::Clr { undo_of, .. } = rec {
-            compensated.insert(*undo_of);
+            compensated.insert(undo_of);
         }
         if let Some((t, op)) = undo_op_of(rec) {
             if t == txn {
@@ -619,6 +629,127 @@ mod tests {
         assert!(report2.in_doubt.is_empty());
         assert_eq!(rec2.table(t).heap.get(RowId(5)).unwrap()[1].as_int(), 0);
         assert!(!values(&rec2, t).iter().any(|&(id, _)| id == 200));
+    }
+
+    /// Runs a seeded mix of logged work for `steps` steps on three clients
+    /// with disjoint rows, then halts: commits whose flushes complete
+    /// later (several may be in flight at the halt), rollbacks,
+    /// checkpoints, and open transactions.
+    fn halted_after(steps: u64) -> (Database, TableId) {
+        let (mut db, t) = setup();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ steps;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        // Per client: open txn, rows as last committed, rows as of now.
+        let mut clients: Vec<(Option<dbsens_storage::lock::TxnId>, Vec<RowId>, Vec<RowId>)> = (0
+            ..3)
+            .map(|c| {
+                let rows: Vec<RowId> = (0..10).filter(|i| i % 3 == c).map(RowId).collect();
+                (None, rows.clone(), rows)
+            })
+            .collect();
+        for step in 0..steps {
+            let c = next(3) as usize;
+            let (open, committed, working) = &mut clients[c];
+            let tx = *open.get_or_insert_with(|| txn(&mut db));
+            match next(10) {
+                0..=3 if !working.is_empty() => {
+                    let rid = working[next(working.len() as u64) as usize];
+                    db.update_row_logged(tx, t, rid, |r| r[1] = Value::Int(step as i64));
+                }
+                4 if working.len() > 1 => {
+                    let rid = working.swap_remove(next(working.len() as u64) as usize);
+                    db.delete_row_logged(tx, t, rid);
+                }
+                5 => {
+                    let row = vec![Value::Int(1000 + step as i64), Value::Int(1)];
+                    working.push(db.insert_row_logged(tx, t, row));
+                }
+                6 => {
+                    db.commit_txn_logged(tx);
+                    db.wal.flush_for_commit();
+                    *open = None;
+                    *committed = working.clone();
+                }
+                7 => {
+                    db.rollback_txn(tx);
+                    *open = None;
+                    *working = committed.clone();
+                }
+                8 => {
+                    db.log_checkpoint();
+                }
+                _ => db.wal.flush_durable(),
+            }
+        }
+        (db, t)
+    }
+
+    /// Recovers in rounds of `budgets` (then unbounded), re-crashing
+    /// between rounds with `crash`; returns every round's report.
+    fn recover_rounds(
+        mut image: CrashImage,
+        budgets: &[usize],
+        mut crash: impl FnMut(&mut Database) -> CrashImage,
+    ) -> (Database, Vec<RecoveryReport>) {
+        let mut reports = Vec::new();
+        loop {
+            let (mut db, report) = recover(image, budgets.get(reports.len()).copied());
+            let done = report.completed;
+            reports.push(report);
+            if done {
+                return (db, reports);
+            }
+            image = crash(&mut db);
+        }
+    }
+
+    #[test]
+    fn moved_crash_image_recovers_like_a_copied_one() {
+        /// The pre-move extraction: copies the surviving log.
+        fn copied(db: &mut Database, keep: impl FnOnce(u64) -> u64) -> CrashImage {
+            CrashImage {
+                snapshots: db.take_snapshots(),
+                wal_image: db.wal.crash_image(keep),
+            }
+        }
+        let (mut undone, mut recrashed, mut torn) = (0, 0, false);
+        for (i, steps) in [7u64, 23, 60, 111, 190, 333].into_iter().enumerate() {
+            let budgets: &[usize] = if i % 2 == 1 { &[1, 2, 1] } else { &[] };
+            // Half, all or none of the oldest in-flight flush persists.
+            let keep = move |n: u64| [n / 2, n, 0][i % 3];
+            let (mut halted, t) = halted_after(steps);
+            let mut reference = halted.clone();
+
+            let image = CrashImage::extract(&mut halted, keep);
+            assert!(halted.wal.image().is_empty(), "extract moves the log out");
+            let (got, got_reports) =
+                recover_rounds(image, budgets, |d| CrashImage::extract(d, |_| 0));
+            let image = copied(&mut reference, keep);
+            let (want, want_reports) = recover_rounds(image, budgets, |d| copied(d, |_| 0));
+
+            assert_eq!(got_reports, want_reports, "kill after {steps} steps");
+            assert_eq!(
+                values(&got, t),
+                values(&want, t),
+                "kill after {steps} steps"
+            );
+            assert_eq!(
+                got.wal.image(),
+                want.wal.image(),
+                "kill after {steps} steps"
+            );
+            undone += want_reports.iter().map(|r| r.undo_records).sum::<u64>();
+            recrashed += usize::from(want_reports.len() > 1);
+            torn |= want_reports[0].torn_tail;
+        }
+        assert!(undone > 0, "the kill points must leave losers to undo");
+        assert!(recrashed >= 2, "budgeted recovery must be killed mid-undo");
+        assert!(torn, "one kill point must tear an in-flight flush");
     }
 
     #[test]

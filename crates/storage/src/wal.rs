@@ -240,7 +240,13 @@ impl Wal {
     /// already durable.
     pub fn from_image(image: Vec<u8>) -> Self {
         let scan = scan_log(&image);
-        let mut image = image;
+        Wal::from_scanned(image, &scan)
+    }
+
+    /// [`Wal::from_image`] for a caller that already holds `scan =
+    /// scan_log(&image)`: the image is truncated to the scan's valid
+    /// prefix (keeping its capacity) and never decoded again.
+    pub fn from_scanned(mut image: Vec<u8>, scan: &LogScan) -> Self {
         image.truncate(scan.valid_bytes);
         let next_lsn = scan.records.last().map_or(0, |(lsn, _)| lsn.0);
         let len = image.len();
@@ -367,6 +373,27 @@ impl Wal {
     /// `keep_sectors(n)` chooses how many of its `n` sectors persisted.
     /// Later in-flight flushes and unflushed bytes are lost.
     pub fn crash_image(&self, keep_sectors: impl FnOnce(u64) -> u64) -> Vec<u8> {
+        self.image[..self.crash_cut(keep_sectors)].to_vec()
+    }
+
+    /// [`Wal::crash_image`] without the copy, for a log whose process has
+    /// died: the image moves out, cut to the same length, and keeps its
+    /// capacity so the recovered log can append without reallocating. The
+    /// log is left with no bytes and nothing in flight; its counters and
+    /// LSNs stay as they were, but it must not be appended to again.
+    pub fn take_crash_image(&mut self, keep_sectors: impl FnOnce(u64) -> u64) -> Vec<u8> {
+        let end = self.crash_cut(keep_sectors);
+        let mut image = std::mem::take(&mut self.image);
+        image.truncate(end);
+        self.inflight.clear();
+        self.submitted = 0;
+        self.durable = 0;
+        image
+    }
+
+    /// Length of the image prefix that survives a crash (see
+    /// [`Wal::crash_image`]).
+    fn crash_cut(&self, keep_sectors: impl FnOnce(u64) -> u64) -> usize {
         let mut end = self.durable;
         if let Some(&(start, range_end, _)) = self.inflight.front() {
             let start = start.max(self.durable);
@@ -374,7 +401,7 @@ impl Wal {
             let kept = keep_sectors(sectors).min(sectors);
             end = start + (kept * SECTOR) as usize;
         }
-        self.image[..end.min(self.image.len())].to_vec()
+        end.min(self.image.len())
     }
 
     /// Bytes appended but not yet flushed.

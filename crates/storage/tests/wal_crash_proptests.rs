@@ -391,6 +391,42 @@ proptest! {
         prop_assert_eq!(recovered, oracle);
     }
 
+    /// Moving the crash image out of a dead log yields the same bytes as
+    /// copying it, for every torn-tail choice of the oldest in-flight flush
+    /// (none, each sector count, and more than it has), with later flush
+    /// ranges still in flight; the move keeps the log's capacity and
+    /// leaves the dead log empty, and a log rebuilt from the moved image
+    /// and its scan continues exactly like one rebuilt from the copy.
+    #[test]
+    fn moved_crash_image_equals_the_copy(ops in wal_ops()) {
+        let h = run_history(&ops);
+        let mut sectors = 0;
+        h.wal.crash_image(|n| {
+            sectors = n;
+            0
+        });
+        for keep in 0..=sectors + 1 {
+            let copy = h.wal.crash_image(|_| keep);
+            let mut dead = h.wal.clone();
+            let moved = dead.take_crash_image(|_| keep);
+            prop_assert_eq!(&moved, &copy, "keep {} of {} sectors", keep, sectors);
+            prop_assert!(moved.capacity() >= h.wal.image().len());
+            prop_assert!(dead.image().is_empty());
+            prop_assert!(!dead.has_inflight_flush());
+            prop_assert_eq!(dead.appends(), h.wal.appends());
+
+            let scan = scan_log(&moved);
+            let mut from_copy = Wal::from_image(copy);
+            let mut from_scan = Wal::from_scanned(moved, &scan);
+            prop_assert_eq!(from_scan.next_lsn(), from_copy.next_lsn());
+            for wal in [&mut from_copy, &mut from_scan] {
+                wal.append_record(&WalRecord::Abort { txn: 99 }, 0);
+                wal.force_durable();
+            }
+            prop_assert_eq!(from_scan.image(), from_copy.image());
+        }
+    }
+
     /// Flipping any byte of a fully durable log makes the scan stop early
     /// (torn) without ever yielding a record that was not appended: the
     /// checksum chain detects the corrupted sector.
