@@ -106,7 +106,7 @@ fn bench_columnstore(c: &mut Criterion) {
             vec![
                 Value::Int(i),
                 Value::Int(i % 50),
-                Value::Str(format!("v{}", i % 100)),
+                Value::from(format!("v{}", i % 100)),
             ]
         })
         .collect();

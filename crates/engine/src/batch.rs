@@ -11,6 +11,7 @@
 //! semantics.
 
 use dbsens_storage::value::{Row, Value};
+use std::sync::Arc;
 
 /// One column of a batch, stored as a typed dense vector when the column
 /// is uniformly typed and as boxed values otherwise.
@@ -21,7 +22,7 @@ pub enum ColumnVector {
     /// All values are `Value::Float`.
     Float(Vec<f64>),
     /// All values are `Value::Str`.
-    Str(Vec<String>),
+    Str(Vec<Arc<str>>),
     /// Mixed types or NULLs present.
     Mixed(Vec<Value>),
 }
@@ -55,62 +56,81 @@ impl ColumnVector {
     /// Builds a vector from owned values, choosing a dense typed layout
     /// when every value shares one non-null type.
     pub fn from_values(vals: Vec<Value>) -> Self {
-        enum T {
-            Int,
-            Float,
-            Str,
+        let mut b = ColumnBuilder::with_capacity(vals.len());
+        for v in vals {
+            b.push(v);
         }
-        let mut ty: Option<T> = None;
-        let mut uniform = true;
-        for v in &vals {
-            let t = match v {
-                Value::Int(_) => T::Int,
-                Value::Float(_) => T::Float,
-                Value::Str(_) => T::Str,
-                Value::Null => {
-                    uniform = false;
-                    break;
-                }
-            };
-            match (&ty, &t) {
-                (None, _) => ty = Some(t),
-                (Some(T::Int), T::Int) | (Some(T::Float), T::Float) | (Some(T::Str), T::Str) => {}
-                _ => {
-                    uniform = false;
-                    break;
-                }
+        b.finish()
+    }
+
+    /// The entries at physical indices `idx`, in order, in the same layout.
+    pub(crate) fn gather(&self, idx: &[u32]) -> ColumnVector {
+        match self {
+            ColumnVector::Int(v) => ColumnVector::Int(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnVector::Float(v) => {
+                ColumnVector::Float(idx.iter().map(|&i| v[i as usize]).collect())
+            }
+            ColumnVector::Str(v) => {
+                ColumnVector::Str(idx.iter().map(|&i| v[i as usize].clone()).collect())
+            }
+            ColumnVector::Mixed(v) => {
+                ColumnVector::Mixed(idx.iter().map(|&i| v[i as usize].clone()).collect())
             }
         }
-        if !uniform || vals.is_empty() {
-            return ColumnVector::Mixed(vals);
-        }
-        match ty.expect("non-empty uniform column has a type") {
-            T::Int => ColumnVector::Int(
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Int(i) => i,
-                        _ => unreachable!("uniform Int column"),
-                    })
-                    .collect(),
-            ),
-            T::Float => ColumnVector::Float(
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Float(f) => f,
-                        _ => unreachable!("uniform Float column"),
-                    })
-                    .collect(),
-            ),
-            T::Str => ColumnVector::Str(
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s,
-                        _ => unreachable!("uniform Str column"),
-                    })
-                    .collect(),
-            ),
+    }
+}
+
+/// Builds a [`ColumnVector`] one value at a time, ending in the layout
+/// [`ColumnVector::from_values`] picks for the same values: dense and typed
+/// while every value shares one non-null type, boxed once one does not.
+#[derive(Debug)]
+pub(crate) struct ColumnBuilder {
+    cap: usize,
+    col: Option<ColumnVector>,
+}
+
+impl ColumnBuilder {
+    /// A builder that reserves room for `cap` values on the first push.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        ColumnBuilder { cap, col: None }
+    }
+
+    /// Appends one value.
+    pub(crate) fn push(&mut self, v: Value) {
+        match (&mut self.col, v) {
+            (Some(ColumnVector::Int(c)), Value::Int(i)) => c.push(i),
+            (Some(ColumnVector::Float(c)), Value::Float(f)) => c.push(f),
+            (Some(ColumnVector::Str(c)), Value::Str(s)) => c.push(s),
+            (Some(ColumnVector::Mixed(c)), v) => c.push(v),
+            (None, v) => {
+                let cap = self.cap;
+                self.col = Some(match v {
+                    Value::Int(i) => ColumnVector::Int(with_first(cap, i)),
+                    Value::Float(f) => ColumnVector::Float(with_first(cap, f)),
+                    Value::Str(s) => ColumnVector::Str(with_first(cap, s)),
+                    Value::Null => ColumnVector::Mixed(with_first(cap, Value::Null)),
+                });
+            }
+            (Some(typed), v) => {
+                // A second type or a NULL: fall back to boxed values.
+                let mut vals = Vec::with_capacity(self.cap.max(typed.len() + 1));
+                vals.extend((0..typed.len()).map(|i| typed.get(i)));
+                vals.push(v);
+                *typed = ColumnVector::Mixed(vals);
+            }
         }
     }
+
+    /// The finished vector (`Mixed` and empty when nothing was pushed).
+    pub(crate) fn finish(self) -> ColumnVector {
+        self.col.unwrap_or(ColumnVector::Mixed(Vec::new()))
+    }
+}
+
+fn with_first<T>(cap: usize, first: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(cap.max(1));
+    v.push(first);
+    v
 }
 
 /// A morsel of rows in columnar form: one [`ColumnVector`] per column plus
@@ -137,20 +157,37 @@ impl Batch {
     /// Transposes owned rows into a columnar batch. All rows must share
     /// the arity of the first.
     pub fn from_rows(rows: Vec<Row>) -> Self {
-        let len = rows.len();
-        let arity = rows.first().map_or(0, Row::len);
-        let mut cols_vals: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(len)).collect();
-        for row in rows {
-            debug_assert_eq!(row.len(), arity, "ragged row in batch");
-            for (c, v) in row.into_iter().enumerate() {
-                cols_vals[c].push(v);
-            }
+        let (len, arity) = (rows.len(), rows.first().map_or(0, Row::len));
+        Batch::from_row_iter(rows, len, arity)
+    }
+
+    /// Transposes `len` rows of `arity` values each into a columnar batch,
+    /// column layouts as [`ColumnVector::from_values`] picks them. With no
+    /// rows the batch has no columns, like `from_rows(vec![])`.
+    pub(crate) fn from_row_iter<R: IntoIterator<Item = Value>>(
+        rows: impl IntoIterator<Item = R>,
+        len: usize,
+        arity: usize,
+    ) -> Self {
+        if len == 0 {
+            return Batch::empty();
         }
+        let mut cols: Vec<ColumnBuilder> = (0..arity)
+            .map(|_| ColumnBuilder::with_capacity(len))
+            .collect();
+        let mut seen = 0;
+        for row in rows {
+            let mut width = 0;
+            for (b, v) in cols.iter_mut().zip(row) {
+                b.push(v);
+                width += 1;
+            }
+            debug_assert_eq!(width, arity, "ragged row in batch");
+            seen += 1;
+        }
+        debug_assert_eq!(seen, len, "row count");
         Batch {
-            cols: cols_vals
-                .into_iter()
-                .map(ColumnVector::from_values)
-                .collect(),
+            cols: cols.into_iter().map(ColumnBuilder::finish).collect(),
             sel: None,
             len,
         }

@@ -957,7 +957,7 @@ mod tests {
         let mut db = Database::new(100.0, 1 << 30);
         let schema = Schema::new(&[("id", ColType::Int), ("pad", ColType::Str(1000))]);
         let rows: Vec<Row> = (0..20)
-            .map(|i| vec![Value::Int(i), Value::Str(String::new())])
+            .map(|i| vec![Value::Int(i), Value::Str("".into())])
             .collect();
         let t = db.create_table("t", schema, rows);
         db.create_index(t, "pk", &[0]);
@@ -967,7 +967,7 @@ mod tests {
             let tx = db.begin_txn();
             db.begin_txn_logged(tx);
             for i in 0..20 {
-                let pad = Value::Str(format!("{checkpoints:>1000}"));
+                let pad = Value::Str(format!("{checkpoints:>1000}").into());
                 db.update_row_logged(tx, t, RowId(i), |r| r[1] = pad);
             }
             db.commit_txn_logged(tx);

@@ -18,6 +18,7 @@ use dbsens_hwsim::fx::FxHashMap;
 use dbsens_hwsim::mem::{MemProfile, Region};
 use dbsens_storage::value::{cmp_values, Key, Row, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One element of a demand trace, resolved against shared state (buffer
 /// pool, SSD) at replay time.
@@ -268,7 +269,7 @@ struct Executor<'a> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum KeyPart {
     I(i64),
-    S(String),
+    S(Arc<str>),
     F(u64),
     N,
 }
@@ -1106,17 +1107,21 @@ impl AggAcc {
         }
     }
 
-    /// Updates from entry `i` of a columnar vector without materializing an
-    /// owned [`Value`] — typed dense columns feed the accumulator directly,
-    /// so the per-row aggregate path does not clone strings it will drop.
-    pub(crate) fn update_col(&mut self, col: &crate::batch::ColumnVector, i: usize) {
+    /// Updates from live row `i` of an evaluated operand without
+    /// materializing an owned [`Value`]: scalars and typed dense columns
+    /// feed the accumulator directly.
+    pub(crate) fn update_col(&mut self, op: &crate::vexpr::Operand<'_>, i: usize) {
         use crate::batch::ColumnVector;
+        let col = match op {
+            crate::vexpr::Operand::Scalar(v) => return self.update(v),
+            op => op.column().expect("not a scalar"),
+        };
         match col {
             ColumnVector::Int(v) => self.update(&Value::Int(v[i])),
             ColumnVector::Float(v) => self.update(&Value::Float(v[i])),
             ColumnVector::Mixed(v) => self.update(&v[i]),
             ColumnVector::Str(v) => {
-                let s = v[i].as_str();
+                let s = &v[i];
                 match self {
                     AggAcc::Count(n) => *n += 1,
                     AggAcc::Min(m) => {
@@ -1124,21 +1129,21 @@ impl AggAcc {
                         // string never undercuts a numeric minimum.
                         let replace = match m.as_ref() {
                             None => true,
-                            Some(Value::Str(cur)) => s < cur.as_str(),
+                            Some(Value::Str(cur)) => s < cur,
                             Some(_) => false,
                         };
                         if replace {
-                            *m = Some(Value::Str(s.to_owned()));
+                            *m = Some(Value::Str(s.clone()));
                         }
                     }
                     AggAcc::Max(m) => {
                         let replace = match m.as_ref() {
                             None => true,
-                            Some(Value::Str(cur)) => s > cur.as_str(),
+                            Some(Value::Str(cur)) => s > cur,
                             Some(_) => true,
                         };
                         if replace {
-                            *m = Some(Value::Str(s.to_owned()));
+                            *m = Some(Value::Str(s.clone()));
                         }
                     }
                     AggAcc::Sum(..) | AggAcc::Avg(..) => {
@@ -1201,7 +1206,7 @@ mod tests {
         let fact = db.create_table("fact", fact_schema, fact_rows);
         let dim_schema = Schema::new(&[("id", ColType::Int), ("name", ColType::Str(8))]);
         let dim_rows: Vec<Row> = (0..20)
-            .map(|i| vec![Value::Int(i), Value::Str(format!("n{i}"))])
+            .map(|i| vec![Value::Int(i), Value::Str(format!("n{i}").into())])
             .collect();
         let dim = db.create_table("dim", dim_schema, dim_rows);
         db.create_index(dim, "pk", &[0]);

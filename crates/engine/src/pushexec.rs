@@ -15,10 +15,12 @@
 //! Execution is two-phase, mirroring the engine's logical/paper-scale
 //! split (DESIGN.md §1):
 //!
-//! 1. **Logical pass** — the source materializes its logical rows, splits
-//!    them into morsels, and pushes each batch through the operator chain
-//!    in morsel order. Operators transform batches (vectorized expression
-//!    evaluation via [`crate::vexpr`]) and record per-morsel input counts.
+//! 1. **Logical pass** — the source cuts its logical rows into morsel
+//!    batches, built column by column (columnstore segments decode
+//!    straight into typed vectors; no row is materialized), and pushes
+//!    each batch through the operator chain in morsel order. Operators
+//!    transform batches (vectorized expression evaluation via
+//!    [`crate::vexpr`]) and record per-morsel input counts.
 //! 2. **Demand synthesis** — once totals are known (hash-table bytes,
 //!    spill volumes), each operator's `finalize` writes its paper-scale
 //!    per-morsel instruction and memory demands into a [`FinalizeCtx`],
@@ -32,11 +34,11 @@
 //! nested-loop joins or index-range sources return `None` from
 //! [`execute_push`] and fall back to the volcano path.
 
-use crate::batch::{Batch, ColumnVector};
+use crate::batch::{Batch, ColumnBuilder, ColumnVector};
 use crate::db::{Database, TableId};
 use crate::exec::{
-    collect_cols, key_sig, key_sig_into, scale_profile, AggAcc, DemandTrace, KeyPart, MorselStage,
-    QueryExecution, TraceItem,
+    collect_cols, scale_profile, AggAcc, DemandTrace, KeyPart, MorselStage, QueryExecution,
+    TraceItem,
 };
 use crate::expr::Expr;
 use crate::optimizer::workspace_width;
@@ -45,6 +47,7 @@ use crate::plan::{AggSpec, JoinKind};
 use crate::vexpr::{compile, filter_mask, PhysicalExpr};
 use dbsens_hwsim::fx::FxHashMap;
 use dbsens_hwsim::mem::{AccessPattern, MemProfile, Region};
+use dbsens_storage::columnstore::LiveScan;
 use dbsens_storage::value::{Row, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -370,23 +373,60 @@ fn morsel_count(modeled_rows: f64, dop: usize) -> usize {
     by_size.max(2 * dop).min(quarter.max(1)).clamp(1, 192)
 }
 
-/// Splits `rows` into exactly `m` contiguous chunks of near-equal size
-/// (earlier chunks take the remainder).
-fn split_chunks(mut rows: Vec<Row>, m: usize) -> Vec<Vec<Row>> {
-    let total = rows.len();
-    let base = total / m;
-    let rem = total % m;
-    let mut out: Vec<Vec<Row>> = Vec::with_capacity(m);
-    // Split from the back so each chunk is a cheap tail split; chunk `k`
-    // gets `base` rows plus one of the remainder when `k < rem`.
-    for k in (1..m).rev() {
-        let size = base + usize::from(k < rem);
-        let at = rows.len() - size;
-        out.push(rows.split_off(at));
-    }
-    out.push(rows);
-    out.reverse();
-    out
+/// The sizes of `m` contiguous chunks of near-equal size over `total`
+/// rows: chunk `k` gets `total / m` rows plus one of the remainder when
+/// `k < total % m`.
+fn chunk_sizes(total: usize, m: usize) -> impl Iterator<Item = usize> {
+    (0..m).map(move |k| total / m + usize::from(k < total % m))
+}
+
+/// Splits `rows` into exactly `m` contiguous chunks of [`chunk_sizes`].
+fn split_chunks(rows: Vec<Row>, m: usize) -> Vec<Vec<Row>> {
+    let mut rows = rows.into_iter();
+    chunk_sizes(rows.len(), m)
+        .map(|n| rows.by_ref().take(n).collect())
+        .collect()
+}
+
+/// Cuts a planned columnstore scan of `arity` columns into `m` morsel
+/// batches of [`chunk_sizes`], decoding each column's segments straight
+/// into the morsels' typed vectors. Yields the same batches as
+/// `Batch::from_rows` over [`split_chunks`] of `scan_rows`.
+fn cs_batches(scan: &LiveScan<'_>, arity: usize, m: usize) -> Vec<Batch> {
+    let sizes: Vec<usize> = chunk_sizes(scan.rows(), m).collect();
+    // Column `c`'s vectors, one per morsel.
+    let mut cols: Vec<std::vec::IntoIter<ColumnVector>> = (0..arity)
+        .map(|c| {
+            let mut morsels: Vec<ColumnBuilder> = sizes
+                .iter()
+                .map(|&n| ColumnBuilder::with_capacity(n))
+                .collect();
+            let (mut k, mut left) = (0, sizes[0]);
+            scan.for_each(c, |v| {
+                while left == 0 {
+                    k += 1;
+                    left = sizes[k];
+                }
+                morsels[k].push(v.clone());
+                left -= 1;
+            });
+            let done: Vec<_> = morsels.into_iter().map(ColumnBuilder::finish).collect();
+            done.into_iter()
+        })
+        .collect();
+    sizes
+        .iter()
+        .map(|&n| {
+            let morsel: Vec<ColumnVector> = cols
+                .iter_mut()
+                .map(|c| c.next().expect("m vectors"))
+                .collect();
+            match n {
+                0 => Batch::empty(),
+                _ => Batch::from_columns(morsel),
+            }
+        })
+        .collect()
 }
 
 /// A pipeline source: where the logical rows come from and what
@@ -411,15 +451,25 @@ enum PSource {
 }
 
 impl PSource {
-    /// Materializes the logical rows (pre-filter for scans, exactly as
-    /// the volcano executor does) and the total modeled rows used for
-    /// morsel sizing.
-    fn materialize(&self, db: &Database) -> (Vec<Row>, f64) {
+    /// Cuts the logical rows (pre-filter for scans, exactly as the volcano
+    /// executor reads them) into morsel batches, as many as
+    /// [`morsel_count`] gives for the source's modeled rows at `dop`.
+    fn morsels(&self, db: &Database, dop: usize) -> Vec<Batch> {
         match self {
             PSource::Seq { table, .. } => {
                 let t = db.table(*table);
-                let rows = t.heap.iter().map(|(_, r)| r.clone()).collect();
-                (rows, t.layout.modeled_rows() as f64)
+                let m = morsel_count(t.layout.modeled_rows() as f64, dop);
+                let arity = t.heap.schema().len();
+                let mut rows = t.heap.iter().map(|(_, r)| r);
+                chunk_sizes(t.heap.len(), m)
+                    .map(|n| {
+                        Batch::from_row_iter(
+                            rows.by_ref().take(n).map(|r| r.iter().cloned()),
+                            n,
+                            arity,
+                        )
+                    })
+                    .collect()
             }
             PSource::Cs { table, elim, .. } => {
                 let t = db.table(*table);
@@ -427,13 +477,17 @@ impl PSource {
                     panic!("columnstore scan on {} without columnstore", t.name)
                 });
                 let (elim_arg, frac) = cs_elim(db, *table, elim.as_ref());
-                let rows = cs.store.scan_rows(elim_arg);
-                (rows, t.layout.modeled_rows() as f64 * frac)
+                let m = morsel_count(t.layout.modeled_rows() as f64 * frac, dop);
+                let scan = cs.store.live_scan(elim_arg);
+                cs_batches(&scan, cs.store.schema().len(), m)
             }
             PSource::Buffer(buf) => {
                 let rows = std::mem::take(&mut *buf.borrow_mut());
-                let modeled = rows.len() as f64 * db.row_scale;
-                (rows, modeled)
+                let m = morsel_count(rows.len() as f64 * db.row_scale, dop);
+                split_chunks(rows, m)
+                    .into_iter()
+                    .map(Batch::from_rows)
+                    .collect()
             }
         }
     }
@@ -585,12 +639,10 @@ pub fn execute_push(db: &Database, plan: &PhysPlan) -> Option<QueryExecution> {
     let mut rows: Vec<Row> = Vec::new();
     for pipeline in &mut builder.pipelines {
         // Phase 1: logical pass, single morsel stream in order.
-        let (src_rows, modeled) = pipeline.source.materialize(db);
-        let m = morsel_count(modeled, dop);
-        let chunks = split_chunks(src_rows, m);
-        let n_src: Vec<usize> = chunks.iter().map(Vec::len).collect();
-        for (k, chunk) in chunks.into_iter().enumerate() {
-            let mut batch = Batch::from_rows(chunk);
+        let batches = pipeline.source.morsels(db, dop);
+        let m = batches.len();
+        let n_src: Vec<usize> = batches.iter().map(Batch::num_rows).collect();
+        for (k, mut batch) in batches.into_iter().enumerate() {
             for op in &mut pipeline.ops {
                 match op.push(k % dop, batch) {
                     PollPush::Continue(b) | PollPush::Finished(b) => batch = b,
@@ -728,6 +780,7 @@ impl PipelineBuilder {
                 bops.push(Box::new(BuildSink {
                     keys: build_keys.clone(),
                     state: state.clone(),
+                    cols: Vec::new(),
                     inputs: Vec::new(),
                 }));
                 self.pipelines.push(Pipeline {
@@ -962,8 +1015,10 @@ impl PhysicalOperator for TopGate {
 /// Shared state between a join's build-side sink and its probe operator.
 #[derive(Debug, Default)]
 struct JoinState {
-    build_rows: Vec<Row>,
-    ht: FxHashMap<Vec<KeyPart>, Vec<usize>>,
+    /// The build rows in arrival order, as unmasked columns (no columns
+    /// when the build side is empty).
+    build: Batch,
+    ht: FxHashMap<Vec<KeyPart>, Vec<u32>>,
     build_modeled: f64,
     width: u64,
     ht_bytes: u64,
@@ -971,38 +1026,61 @@ struct JoinState {
     ht_region: Option<Region>,
 }
 
-/// Build-side sink: accumulates rows in arrival order (= volcano's build
-/// row order) and erects the hash table at finalize.
+/// Build-side sink: appends the live rows of each batch, column by column,
+/// in arrival order (= volcano's build row order) and erects the hash
+/// table at finalize.
 #[derive(Debug)]
 struct BuildSink {
     keys: Vec<usize>,
     state: Rc<RefCell<JoinState>>,
+    /// One builder per column, created by the first non-empty batch.
+    cols: Vec<ColumnBuilder>,
     inputs: Vec<u64>,
 }
 
 impl PhysicalOperator for BuildSink {
     fn push(&mut self, _partition: usize, batch: Batch) -> PollPush {
-        let n = batch.num_rows() as u64;
-        self.inputs.push(n);
+        let n = batch.num_rows();
+        self.inputs.push(n as u64);
         if n > 0 {
-            self.state.borrow_mut().build_rows.extend(batch.to_rows());
+            if self.cols.is_empty() {
+                self.cols = (0..batch.cols.len())
+                    .map(|_| ColumnBuilder::with_capacity(n))
+                    .collect();
+            }
+            for (b, col) in self.cols.iter_mut().zip(&batch.cols) {
+                for i in 0..n {
+                    b.push(col.get(batch.live_index(i)));
+                }
+            }
         }
         PollPush::NeedsMore
     }
 
     fn finalize(&mut self, fin: &mut FinalizeCtx<'_>) -> Option<Vec<Row>> {
         let mut st = self.state.borrow_mut();
-        let mut ht: FxHashMap<Vec<KeyPart>, Vec<usize>> = FxHashMap::default();
-        for (i, r) in st.build_rows.iter().enumerate() {
-            ht.entry(key_sig(r, &self.keys)).or_default().push(i);
+        let cols = std::mem::take(&mut self.cols);
+        let arity = cols.len();
+        st.build = Batch::from_columns(cols.into_iter().map(ColumnBuilder::finish).collect());
+        let mut ht: FxHashMap<Vec<KeyPart>, Vec<u32>> = FxHashMap::default();
+        let mut key = Vec::with_capacity(self.keys.len());
+        for i in 0..st.build.num_rows() {
+            batch_key_sig_into(&st.build, i, &self.keys, &mut key);
+            match ht.get_mut(&key) {
+                Some(rows) => rows.push(i as u32),
+                None => {
+                    ht.insert(key.clone(), vec![i as u32]);
+                }
+            }
         }
         st.ht = ht;
         let total: u64 = self.inputs.iter().sum();
         st.build_modeled = fin.modeled(total);
-        st.width = st
-            .build_rows
-            .first()
-            .map_or(8, |r| workspace_width(r.len()));
+        st.width = if total == 0 {
+            8
+        } else {
+            workspace_width(arity)
+        };
         st.ht_bytes =
             (st.build_modeled * (fin.db.cost.hash_bytes_per_row + st.width) as f64) as u64;
         st.spill = fin.spill_share(st.ht_bytes);
@@ -1035,6 +1113,8 @@ impl PhysicalOperator for BuildSink {
 /// Probe operator: streams probe morsels against the finished build hash
 /// table, reproducing the volcano executor's join semantics exactly
 /// (including the `swapped` column-order restoration for inner joins).
+/// Keys are read from the batch columns and output columns are gathered
+/// from the probe batch and the build side; no row is materialized.
 #[derive(Debug)]
 struct HashProbe {
     state: Rc<RefCell<JoinState>>,
@@ -1046,64 +1126,52 @@ struct HashProbe {
     key_scratch: Vec<KeyPart>,
 }
 
+/// Build-side index of a LeftOuter probe row without a match.
+const NO_MATCH: u32 = u32::MAX;
+
 impl PhysicalOperator for HashProbe {
-    fn push(&mut self, _partition: usize, batch: Batch) -> PollPush {
-        let n = batch.num_rows() as u64;
-        self.inputs.push(n);
+    fn push(&mut self, _partition: usize, mut batch: Batch) -> PollPush {
+        let n = batch.num_rows();
+        self.inputs.push(n as u64);
         if n == 0 {
             return PollPush::Continue(Batch::empty());
         }
         let st = self.state.borrow();
-        let build_width = st.build_rows.first().map_or(0, Vec::len);
-        let mut out = Vec::new();
-        for pr in batch.to_rows() {
-            key_sig_into(&pr, &self.probe_keys, &mut self.key_scratch);
+        // Semi/anti joins keep live positions; inner and outer joins pair
+        // a physical probe row with a build row.
+        let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let phys = batch.live_index(i);
+            batch_key_sig_into(&batch, phys, &self.probe_keys, &mut self.key_scratch);
             let matches = st.ht.get(&self.key_scratch);
-            match self.kind {
-                JoinKind::Inner => {
-                    if let Some(ms) = matches {
-                        for &bi in ms {
-                            let mut row = if self.swapped {
-                                st.build_rows[bi].clone()
-                            } else {
-                                pr.clone()
-                            };
-                            row.extend(if self.swapped {
-                                pr.iter().cloned()
-                            } else {
-                                st.build_rows[bi].iter().cloned()
-                            });
-                            out.push(row);
-                        }
-                    }
+            match (self.kind, matches) {
+                (JoinKind::Inner | JoinKind::LeftOuter, Some(ms)) => {
+                    probe_idx.extend(std::iter::repeat_n(phys as u32, ms.len()));
+                    build_idx.extend_from_slice(ms);
                 }
-                JoinKind::LeftOuter => match matches {
-                    Some(ms) => {
-                        for &bi in ms {
-                            let mut row = pr.clone();
-                            row.extend(st.build_rows[bi].iter().cloned());
-                            out.push(row);
-                        }
-                    }
-                    None => {
-                        let mut row = pr.clone();
-                        row.extend(std::iter::repeat_with(|| Value::Null).take(build_width));
-                        out.push(row);
-                    }
-                },
-                JoinKind::Semi => {
-                    if matches.is_some() {
-                        out.push(pr);
-                    }
+                (JoinKind::LeftOuter, None) => {
+                    probe_idx.push(phys as u32);
+                    build_idx.push(NO_MATCH);
                 }
-                JoinKind::Anti => {
-                    if matches.is_none() {
-                        out.push(pr);
-                    }
-                }
+                (JoinKind::Semi, Some(_)) | (JoinKind::Anti, None) => probe_idx.push(i as u32),
+                _ => {}
             }
         }
-        PollPush::Continue(Batch::from_rows(out))
+        if probe_idx.is_empty() {
+            return PollPush::Continue(Batch::empty());
+        }
+        if matches!(self.kind, JoinKind::Semi | JoinKind::Anti) {
+            batch.select(probe_idx);
+            return PollPush::Continue(batch);
+        }
+        let probe = batch.cols.iter().map(|c| c.gather(&probe_idx));
+        let build = st.build.cols.iter().map(|c| gather_or_null(c, &build_idx));
+        let cols = if self.swapped && self.kind == JoinKind::Inner {
+            build.chain(probe).collect()
+        } else {
+            probe.chain(build).collect()
+        };
+        PollPush::Continue(Batch::from_columns(cols))
     }
 
     fn finalize(&mut self, fin: &mut FinalizeCtx<'_>) -> Option<Vec<Row>> {
@@ -1164,12 +1232,25 @@ impl PhysicalOperator for HashProbe {
 // Aggregation and sort sinks.
 // ---------------------------------------------------------------------------
 
-/// Hash-aggregation sink: groups accumulate in push order (= volcano's
-/// row order), so `into_values` iteration matches the volcano result
-/// byte for byte.
-/// Column-wise equivalent of [`key_sig_into`]: builds the group key for
-/// physical row `phys` straight from the batch's column vectors, skipping
-/// row materialization.
+/// The entries of `col` at `idx`, with NULL for [`NO_MATCH`].
+fn gather_or_null(col: &ColumnVector, idx: &[u32]) -> ColumnVector {
+    if !idx.contains(&NO_MATCH) {
+        return col.gather(idx);
+    }
+    let mut b = ColumnBuilder::with_capacity(idx.len());
+    for &i in idx {
+        b.push(if i == NO_MATCH {
+            Value::Null
+        } else {
+            col.get(i as usize)
+        });
+    }
+    b.finish()
+}
+
+/// Builds the hashable key of physical row `phys` straight from the
+/// batch's column vectors (the column-wise equivalent of the volcano
+/// executor's row `key_sig_into`), skipping row materialization.
 fn batch_key_sig_into(batch: &Batch, phys: usize, cols: &[usize], out: &mut Vec<KeyPart>) {
     out.clear();
     out.extend(cols.iter().map(|&c| match &batch.cols[c] {
@@ -1185,6 +1266,9 @@ fn batch_key_sig_into(batch: &Batch, phys: usize, cols: &[usize], out: &mut Vec<
     }));
 }
 
+/// Hash-aggregation sink: groups accumulate in push order (= volcano's
+/// row order), so `into_values` iteration matches the volcano result
+/// byte for byte.
 struct AggSink {
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
@@ -1233,7 +1317,7 @@ impl PhysicalOperator for AggSink {
         // Vectorized aggregate inputs; group keys gathered column-wise
         // through a reusable key buffer (no per-row key or row
         // materialization on the group-hit path).
-        let agg_vals: Vec<_> = self.compiled.iter().map(|e| e.evaluate(&batch)).collect();
+        let agg_vals: Vec<_> = self.compiled.iter().map(|e| e.eval(&batch)).collect();
         for i in 0..n {
             let phys = batch.live_index(i);
             batch_key_sig_into(&batch, phys, &self.group_by, &mut self.key_scratch);
@@ -1337,7 +1421,7 @@ impl PhysicalOperator for StreamAggSink {
         if n == 0 {
             return PollPush::NeedsMore;
         }
-        let agg_vals: Vec<_> = self.compiled.iter().map(|e| e.evaluate(&batch)).collect();
+        let agg_vals: Vec<_> = self.compiled.iter().map(|e| e.eval(&batch)).collect();
         for i in 0..n {
             for (acc, vals) in self.accs.iter_mut().zip(&agg_vals) {
                 acc.update_col(vals, i);
@@ -1484,7 +1568,7 @@ mod tests {
         let fact = db.create_table("fact", fact_schema, fact_rows);
         let dim_schema = Schema::new(&[("id", ColType::Int), ("name", ColType::Str(8))]);
         let dim_rows: Vec<Row> = (0..20)
-            .map(|i| vec![Value::Int(i), Value::Str(format!("n{i}"))])
+            .map(|i| vec![Value::Int(i), Value::Str(format!("n{i}").into())])
             .collect();
         let dim = db.create_table("dim", dim_schema, dim_rows);
         (db, fact, dim)
@@ -1698,5 +1782,139 @@ mod tests {
             est_cost: 1.0,
         };
         assert!(execute_push(&db, &plan).is_none());
+    }
+
+    /// Adds a table whose string column `tname` joins `dim.name`, with
+    /// names `dim` lacks and NULL weights.
+    fn add_tags(db: &mut Database) -> TableId {
+        let schema = Schema::new(&[
+            ("tid", ColType::Int),
+            ("tname", ColType::Str(8)),
+            ("w", ColType::Int),
+        ]);
+        let rows: Vec<Row> = (0..60)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Str(format!("n{}", i % 25).into()),
+                    if i % 9 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 4)
+                    },
+                ]
+            })
+            .collect();
+        db.create_table("tag", schema, rows)
+    }
+
+    fn is_swapped(n: &PhysNode) -> bool {
+        match n {
+            PhysNode::HashJoin { swapped, .. } => *swapped,
+            PhysNode::HashAgg { input, .. } | PhysNode::Project { input, .. } => is_swapped(input),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn string_key_join_parity() {
+        let (mut db, _, dim) = setup();
+        let tag = add_tags(&mut db);
+        let c = ctx();
+        // Inner, build side larger than the probe side: swapped.
+        let q = Logical::scan(dim, None, 20.0).join(
+            Logical::scan(tag, None, 60.0),
+            vec![1],
+            vec![1],
+            JoinKind::Inner,
+            50.0,
+        );
+        assert!(is_swapped(&optimize(&db, &q, &c).root));
+        let out = assert_parity(&db, &q, &c);
+        assert_eq!(out.rows.len(), 50);
+        // Inner unswapped, then every other kind, aggregated on the
+        // joined string so group keys are strings too.
+        let dim_small = Logical::scan(
+            dim,
+            Some(Expr::cmp(CmpOp::Lt, Expr::Col(0), Expr::lit(5i64))),
+            5.0,
+        );
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let q = Logical::scan(tag, None, 60.0).join(
+                dim_small.clone(),
+                vec![1],
+                vec![1],
+                kind,
+                30.0,
+            );
+            assert!(!is_swapped(&optimize(&db, &q, &c).root));
+            assert_parity(&db, &q, &c);
+            assert_parity(&db, &q.agg(vec![1], vec![count(), sum(2)], 10.0), &c);
+        }
+    }
+
+    /// Column-wise columnstore morsels equal the row path's
+    /// (`Batch::from_rows` over `split_chunks` of `scan_rows`) for every
+    /// morsel count, under deletes, delta rows and segment elimination.
+    #[test]
+    fn cs_batches_match_row_chunks() {
+        use dbsens_storage::btree::RowId;
+        use dbsens_storage::columnstore::ColumnStore;
+        let schema = Schema::new(&[
+            ("id", ColType::Int),
+            ("s", ColType::Str(2)),
+            ("f", ColType::Float),
+        ]);
+        let rows: Vec<Row> = (0..90)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Str(format!("s{}", i % 3).into()),
+                    if i % 31 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(i as f64 / 2.0)
+                    },
+                ]
+            })
+            .collect();
+        let mut cs = ColumnStore::build(schema, &rows, 16);
+        for rid in [0, 5, 33, 34, 35, 70] {
+            cs.delete(RowId(rid));
+        }
+        for i in 100..105 {
+            cs.insert(
+                RowId(i),
+                vec![
+                    Value::Int(i as i64),
+                    Value::Str("d".into()),
+                    Value::Float(0.5),
+                ],
+            );
+        }
+        let layout = |b: &Batch| -> Vec<std::mem::Discriminant<ColumnVector>> {
+            b.cols.iter().map(std::mem::discriminant).collect()
+        };
+        let (lo, hi) = (Value::Int(20), Value::Int(50));
+        for elim in [None, Some((0, Some(&lo), Some(&hi)))] {
+            for m in 1..=12 {
+                let got = cs_batches(&cs.live_scan(elim), 3, m);
+                let want: Vec<Batch> = split_chunks(cs.scan_rows(elim), m)
+                    .into_iter()
+                    .map(Batch::from_rows)
+                    .collect();
+                assert_eq!(got.len(), m);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.capacity_rows(), w.capacity_rows());
+                    assert_eq!(layout(g), layout(w));
+                    assert_eq!(g.to_rows(), w.to_rows());
+                }
+            }
+        }
     }
 }

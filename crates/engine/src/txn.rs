@@ -25,6 +25,7 @@ use dbsens_storage::value::{Key, Row, Value};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Internal latch ids.
 const LOG_BUFFER_LATCH: u32 = 0;
@@ -41,8 +42,8 @@ pub enum MutOp {
     SetFloat(f64),
     /// Add to a float column.
     AddFloat(f64),
-    /// Set a string column.
-    SetStr(String),
+    /// Set a string column (shared: applying it copies no bytes).
+    SetStr(Arc<str>),
 }
 
 /// A mutation of one column.
@@ -198,10 +199,10 @@ pub trait TxnGenerator: fmt::Debug {
 /// Recycled storage for transaction-program parts.
 ///
 /// The OLTP hot loop retires a whole [`TxnProgram`] per transaction — an
-/// op vector holding keys, mutation lists, row images, and strings — and
+/// op vector holding keys, mutation lists and row images — and
 /// immediately builds the next one. [`ProgramPool::reclaim`] dismantles a
 /// spent program into per-kind free lists, and the builder helpers
-/// ([`ProgramPool::key1`], [`ProgramPool::string`], ...) reissue the
+/// ([`ProgramPool::key1`], [`ProgramPool::values`], ...) reissue the
 /// buffers, so a generator that routes its allocations through the pool
 /// reaches a steady state where transaction generation touches the heap
 /// allocator not at all.
@@ -213,7 +214,6 @@ pub struct ProgramPool {
     ops: Vec<Vec<TxOp>>,
     values: Vec<Vec<Value>>,
     muts: Vec<Vec<Mutation>>,
-    strings: Vec<String>,
 }
 
 /// Free-list bounds: `ops` is one-per-program; the others are per-op.
@@ -254,11 +254,7 @@ impl ProgramPool {
     }
 
     fn reclaim_values(&mut self, mut values: Vec<Value>) {
-        for v in values.drain(..) {
-            if let Value::Str(s) = v {
-                self.reclaim_string(s);
-            }
-        }
+        values.clear();
         if values.capacity() > 0 && self.values.len() < POOL_PARTS_CAP {
             self.values.push(values);
         }
@@ -266,20 +262,9 @@ impl ProgramPool {
 
     /// Returns a mutation list to the pool (e.g. from a dismantled op).
     pub fn reclaim_muts(&mut self, mut muts: Vec<Mutation>) {
-        for m in muts.drain(..) {
-            if let MutOp::SetStr(s) = m.op {
-                self.reclaim_string(s);
-            }
-        }
+        muts.clear();
         if muts.capacity() > 0 && self.muts.len() < POOL_PARTS_CAP {
             self.muts.push(muts);
-        }
-    }
-
-    fn reclaim_string(&mut self, mut s: String) {
-        if s.capacity() > 0 && self.strings.len() < POOL_PARTS_CAP {
-            s.clear();
-            self.strings.push(s);
         }
     }
 
@@ -296,13 +281,6 @@ impl ProgramPool {
     /// An empty mutation list.
     pub fn muts(&mut self) -> Vec<Mutation> {
         self.muts.pop().unwrap_or_default()
-    }
-
-    /// A string holding `content`.
-    pub fn string(&mut self, content: &str) -> String {
-        let mut s = self.strings.pop().unwrap_or_default();
-        s.push_str(content);
-        s
     }
 
     /// A single-integer key.

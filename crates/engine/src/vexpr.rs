@@ -2,8 +2,10 @@
 //!
 //! [`PhysicalExpr`] is the compiled, batch-at-a-time counterpart of the
 //! row-at-a-time [`Expr::eval`]: [`compile`] lowers an expression tree
-//! into physical nodes whose [`PhysicalExpr::evaluate`] produces one
-//! [`ColumnVector`] of results for the *live* rows of a [`Batch`].
+//! into physical nodes whose [`PhysicalExpr::eval`] produces an
+//! [`Operand`] of results for the *live* rows of a [`Batch`]. Column
+//! references to an unmasked batch borrow the column and literals stay
+//! scalar, so evaluation copies no input column and never broadcasts.
 //!
 //! Semantics are kept bit-identical to the row engine by reusing its
 //! scalar kernels (`numeric`, `truthy`, [`cmp_values`]) elementwise; a
@@ -19,9 +21,57 @@ use std::fmt;
 
 /// A compiled expression evaluated column-at-a-time over a batch.
 pub trait PhysicalExpr: fmt::Debug {
-    /// Evaluates the expression for every live row of `batch`, returning
-    /// a dense vector of `batch.num_rows()` results in live-row order.
-    fn evaluate(&self, batch: &Batch) -> ColumnVector;
+    /// Evaluates the expression for every live row of `batch`, in
+    /// live-row order, borrowing from the batch where it can.
+    fn eval<'b>(&'b self, batch: &'b Batch) -> Operand<'b>;
+
+    /// Like [`eval`](PhysicalExpr::eval), materialized as a dense owned
+    /// vector of `batch.num_rows()` results.
+    fn evaluate(&self, batch: &Batch) -> ColumnVector {
+        self.eval(batch).into_column(batch.num_rows())
+    }
+}
+
+/// The results of an expression over a batch's live rows.
+#[derive(Debug)]
+pub enum Operand<'b> {
+    /// A column of an unmasked batch, used in place.
+    Borrowed(&'b ColumnVector),
+    /// A freshly computed dense column.
+    Owned(ColumnVector),
+    /// One value for every live row (a literal, never broadcast).
+    Scalar(&'b Value),
+}
+
+impl Operand<'_> {
+    /// The dense column, or `None` for a scalar.
+    pub fn column(&self) -> Option<&ColumnVector> {
+        match self {
+            Operand::Borrowed(c) => Some(c),
+            Operand::Owned(c) => Some(c),
+            Operand::Scalar(_) => None,
+        }
+    }
+
+    /// The result for live row `i`.
+    pub fn get(&self, i: usize) -> Value {
+        match self {
+            Operand::Scalar(v) => (*v).clone(),
+            col => col.column().expect("not a scalar").get(i),
+        }
+    }
+
+    /// An owned dense vector of `n` results (scalars are broadcast here).
+    pub fn into_column(self, n: usize) -> ColumnVector {
+        match self {
+            Operand::Borrowed(c) => c.clone(),
+            Operand::Owned(c) => c,
+            Operand::Scalar(Value::Int(i)) => ColumnVector::Int(vec![*i; n]),
+            Operand::Scalar(Value::Float(f)) => ColumnVector::Float(vec![*f; n]),
+            Operand::Scalar(Value::Str(s)) => ColumnVector::Str(vec![s.clone(); n]),
+            Operand::Scalar(Value::Null) => ColumnVector::Mixed(vec![Value::Null; n]),
+        }
+    }
 }
 
 /// Compiles an expression tree into a physical evaluator.
@@ -67,15 +117,21 @@ pub fn compile(e: &Expr) -> Box<dyn PhysicalExpr> {
 /// Evaluates a compiled predicate over a batch, returning the live-row
 /// positions (not physical indices) where it holds.
 pub fn filter_mask(pred: &dyn PhysicalExpr, batch: &Batch) -> Vec<u32> {
-    match pred.evaluate(batch) {
-        // Boolean results are Int(0/1); the typed path avoids boxing.
-        ColumnVector::Int(v) => (0..v.len() as u32)
-            .filter(|&i| v[i as usize] != 0)
-            .collect(),
-        other => (0..other.len() as u32)
-            .filter(|&i| truthy(&other.get(i as usize)))
-            .collect(),
+    let n = batch.num_rows() as u32;
+    match pred.eval(batch) {
+        Operand::Scalar(v) if truthy(v) => (0..n).collect(),
+        Operand::Scalar(_) => Vec::new(),
+        col => match col.column().expect("not a scalar") {
+            // Boolean results are Int(0/1); the typed path avoids boxing.
+            ColumnVector::Int(v) => (0..n).filter(|&i| v[i as usize] != 0).collect(),
+            other => (0..n).filter(|&i| truthy(&other.get(i as usize))).collect(),
+        },
     }
+}
+
+/// A boolean (`Int` 0/1) result column of `n` rows.
+fn bools<'b>(n: usize, f: impl Fn(usize) -> bool) -> Operand<'b> {
+    Operand::Owned(ColumnVector::Int((0..n).map(|i| f(i) as i64).collect()))
 }
 
 fn bin(kind: BinKind, a: &Expr, b: &Expr) -> Box<dyn PhysicalExpr> {
@@ -93,44 +149,25 @@ struct ColumnRef {
 }
 
 impl PhysicalExpr for ColumnRef {
-    fn evaluate(&self, batch: &Batch) -> ColumnVector {
+    fn eval<'b>(&'b self, batch: &'b Batch) -> Operand<'b> {
         let col = &batch.cols[self.col];
         match &batch.sel {
             // No mask: the column is already the dense live view.
-            None => col.clone(),
-            Some(sel) => match col {
-                ColumnVector::Int(v) => {
-                    ColumnVector::Int(sel.iter().map(|&i| v[i as usize]).collect())
-                }
-                ColumnVector::Float(v) => {
-                    ColumnVector::Float(sel.iter().map(|&i| v[i as usize]).collect())
-                }
-                ColumnVector::Str(v) => {
-                    ColumnVector::Str(sel.iter().map(|&i| v[i as usize].clone()).collect())
-                }
-                ColumnVector::Mixed(v) => {
-                    ColumnVector::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect())
-                }
-            },
+            None => Operand::Borrowed(col),
+            Some(sel) => Operand::Owned(col.gather(sel)),
         }
     }
 }
 
-/// Literal broadcast to the batch length.
+/// Literal: one scalar for every row.
 #[derive(Debug)]
 struct Literal {
     value: Value,
 }
 
 impl PhysicalExpr for Literal {
-    fn evaluate(&self, batch: &Batch) -> ColumnVector {
-        let n = batch.num_rows();
-        match &self.value {
-            Value::Int(i) => ColumnVector::Int(vec![*i; n]),
-            Value::Float(f) => ColumnVector::Float(vec![*f; n]),
-            Value::Str(s) => ColumnVector::Str(vec![s.clone(); n]),
-            Value::Null => ColumnVector::Mixed(vec![Value::Null; n]),
-        }
+    fn eval<'b>(&'b self, _batch: &'b Batch) -> Operand<'b> {
+        Operand::Scalar(&self.value)
     }
 }
 
@@ -154,39 +191,63 @@ struct BinaryExpr {
 }
 
 impl PhysicalExpr for BinaryExpr {
-    fn evaluate(&self, batch: &Batch) -> ColumnVector {
-        let l = self.left.evaluate(batch);
-        let r = self.right.evaluate(batch);
-        // Typed fast paths on uniformly-integer operands; `cmp_values`
-        // compares Int pairs as integers, so these are exact.
-        match (&self.kind, &l, &r) {
-            (BinKind::Cmp(op), ColumnVector::Int(a), ColumnVector::Int(b)) => {
-                return ColumnVector::Int(
-                    a.iter()
-                        .zip(b)
-                        .map(|(x, y)| op.test(x.cmp(y)) as i64)
-                        .collect(),
-                );
+    fn eval<'b>(&'b self, batch: &'b Batch) -> Operand<'b> {
+        let l = self.left.eval(batch);
+        let r = self.right.eval(batch);
+        // Typed fast paths on uniformly-typed operands; `cmp_values`
+        // compares Int pairs as integers, Str pairs as strings and Float
+        // pairs by `partial_cmp` (unordered = equal), so these are exact.
+        match (&self.kind, l.column(), r.column(), &l, &r) {
+            (BinKind::Cmp(op), Some(ColumnVector::Int(a)), Some(ColumnVector::Int(b)), ..) => {
+                return bools(a.len(), |i| op.test(a[i].cmp(&b[i])));
             }
-            (BinKind::And, ColumnVector::Int(a), ColumnVector::Int(b)) => {
-                return ColumnVector::Int(
-                    a.iter()
-                        .zip(b)
-                        .map(|(x, y)| (*x != 0 && *y != 0) as i64)
-                        .collect(),
-                );
+            (
+                BinKind::Cmp(op),
+                Some(ColumnVector::Int(a)),
+                None,
+                _,
+                Operand::Scalar(Value::Int(y)),
+            ) => {
+                return bools(a.len(), |i| op.test(a[i].cmp(y)));
             }
-            (BinKind::Or, ColumnVector::Int(a), ColumnVector::Int(b)) => {
-                return ColumnVector::Int(
-                    a.iter()
-                        .zip(b)
-                        .map(|(x, y)| (*x != 0 || *y != 0) as i64)
-                        .collect(),
-                );
+            (
+                BinKind::Cmp(op),
+                None,
+                Some(ColumnVector::Int(b)),
+                Operand::Scalar(Value::Int(x)),
+                _,
+            ) => {
+                return bools(b.len(), |i| op.test(x.cmp(&b[i])));
+            }
+            (
+                BinKind::Cmp(op),
+                Some(ColumnVector::Str(a)),
+                None,
+                _,
+                Operand::Scalar(Value::Str(y)),
+            ) => {
+                return bools(a.len(), |i| op.test(a[i].cmp(y)));
+            }
+            (
+                BinKind::Cmp(op),
+                Some(ColumnVector::Float(a)),
+                None,
+                _,
+                Operand::Scalar(Value::Float(y)),
+            ) => {
+                return bools(a.len(), |i| {
+                    op.test(a[i].partial_cmp(y).unwrap_or(Ordering::Equal))
+                });
+            }
+            (BinKind::And, Some(ColumnVector::Int(a)), Some(ColumnVector::Int(b)), ..) => {
+                return bools(a.len(), |i| a[i] != 0 && b[i] != 0);
+            }
+            (BinKind::Or, Some(ColumnVector::Int(a)), Some(ColumnVector::Int(b)), ..) => {
+                return bools(a.len(), |i| a[i] != 0 || b[i] != 0);
             }
             _ => {}
         }
-        let n = l.len();
+        let n = batch.num_rows();
         let vals = (0..n)
             .map(|i| {
                 let (x, y) = (l.get(i), r.get(i));
@@ -214,7 +275,7 @@ impl PhysicalExpr for BinaryExpr {
                 }
             })
             .collect();
-        ColumnVector::from_values(vals)
+        Operand::Owned(ColumnVector::from_values(vals))
     }
 }
 
@@ -235,16 +296,19 @@ struct UnaryExpr {
 }
 
 impl PhysicalExpr for UnaryExpr {
-    fn evaluate(&self, batch: &Batch) -> ColumnVector {
-        let v = self.input.evaluate(batch);
+    fn eval<'b>(&'b self, batch: &'b Batch) -> Operand<'b> {
+        let v = self.input.eval(batch);
         // String predicates on a typed Str vector skip per-value boxing.
-        if let (UnKind::StartsWith(p), ColumnVector::Str(s)) = (&self.kind, &v) {
-            return ColumnVector::Int(s.iter().map(|x| x.starts_with(p.as_str()) as i64).collect());
+        match (&self.kind, v.column()) {
+            (UnKind::StartsWith(p), Some(ColumnVector::Str(s))) => {
+                return bools(s.len(), |i| s[i].starts_with(p.as_str()));
+            }
+            (UnKind::Contains(p), Some(ColumnVector::Str(s))) => {
+                return bools(s.len(), |i| s[i].contains(p.as_str()));
+            }
+            _ => {}
         }
-        if let (UnKind::Contains(p), ColumnVector::Str(s)) = (&self.kind, &v) {
-            return ColumnVector::Int(s.iter().map(|x| x.contains(p.as_str()) as i64).collect());
-        }
-        let out = (0..v.len())
+        let out = (0..batch.num_rows())
             .map(|i| {
                 let x = v.get(i);
                 match &self.kind {
@@ -273,7 +337,7 @@ impl PhysicalExpr for UnaryExpr {
                 }
             })
             .collect();
-        ColumnVector::Int(out)
+        Operand::Owned(ColumnVector::Int(out))
     }
 }
 

@@ -11,7 +11,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-1000i64..1000).prop_map(Value::Int),
         (-100i64..100).prop_map(|v| Value::Float(v as f64 * 0.25)),
-        "[a-z]{0,6}".prop_map(Value::Str),
+        "[a-z]{0,6}".prop_map(Value::from),
         Just(Value::Null),
     ]
 }

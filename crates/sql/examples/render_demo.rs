@@ -20,7 +20,7 @@ fn main() {
             .map(|c| {
                 vec![
                     Value::Int(c),
-                    Value::Str(format!("cust{c}")),
+                    Value::Str(format!("cust{c}").into()),
                     Value::Int(c % 3),
                 ]
             })

@@ -199,7 +199,7 @@ impl<'a> BindCtx<'a> {
             }
             ast::Expr::Int(v) => Ok(SqlExpr::Lit(Value::Int(*v))),
             ast::Expr::Float(v) => Ok(SqlExpr::Lit(Value::Float(*v))),
-            ast::Expr::Str(s) => Ok(SqlExpr::Lit(Value::Str(s.clone()))),
+            ast::Expr::Str(s) => Ok(SqlExpr::Lit(Value::from(s.as_str()))),
             ast::Expr::Null => Ok(SqlExpr::Lit(Value::Null)),
             ast::Expr::Bin(op, a, b) => {
                 let (a, b) = (Box::new(self.bind(a)?), Box::new(self.bind(b)?));
@@ -244,7 +244,7 @@ impl<'a> BindCtx<'a> {
                     Ok(SqlExpr::Cmp(
                         CmpOp::Eq,
                         inner,
-                        Box::new(SqlExpr::Lit(Value::Str(pattern.clone()))),
+                        Box::new(SqlExpr::Lit(Value::from(pattern.as_str()))),
                     ))
                 }
             }

@@ -3,20 +3,25 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single column value.
 ///
 /// The engine is intentionally small: four scalar types cover every
 /// benchmark schema in the workload suite (dates are day numbers, money is
 /// fixed-point in cents stored as `Int`).
+///
+/// Strings are shared: cloning a `Str` bumps a reference count and copies
+/// no bytes. `Arc<str>` hashes, orders, prints and serializes exactly like
+/// `String`, so every digest is the same as with owned strings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     /// 64-bit integer (also ids, day-number dates, fixed-point money).
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// Variable-length string.
-    Str(String),
+    /// Variable-length string, shared by reference count.
+    Str(Arc<str>),
     /// SQL NULL.
     Null,
 }
@@ -101,13 +106,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(Arc::from(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Arc::from(v))
     }
 }
 
@@ -257,6 +262,17 @@ mod tests {
         assert_eq!(Value::Str("x".into()).to_string(), "x");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Float(2.5).to_string(), "2.5");
+    }
+
+    #[test]
+    fn values_are_small_and_string_clones_share() {
+        assert!(std::mem::size_of::<Value>() <= 24);
+        let a = Value::from("shared");
+        let b = a.clone();
+        match (&a, &b) {
+            (Value::Str(x), Value::Str(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => unreachable!("both are strings"),
+        }
     }
 
     #[test]

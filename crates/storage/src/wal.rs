@@ -708,7 +708,7 @@ impl<'a> Cursor<'a> {
                     let len = self.u32()? as usize;
                     let b = self.buf.get(self.pos..self.pos.checked_add(len)?)?;
                     self.pos += len;
-                    Value::Str(String::from_utf8(b.to_vec()).ok()?)
+                    Value::Str(std::str::from_utf8(b).ok()?.into())
                 }
                 3 => Value::Null,
                 _ => return None,
@@ -990,7 +990,7 @@ mod tests {
                 txn: 1,
                 table: 0,
                 rid: 0,
-                row: vec![Value::Str("x".repeat(600))],
+                row: vec![Value::from("x".repeat(600))],
             },
             600,
         );

@@ -79,7 +79,7 @@ proptest! {
     fn columnsegment_roundtrip(values in prop::collection::vec(
         prop_oneof![
             (-1000i64..1000).prop_map(Value::Int),
-            (0u8..20).prop_map(|v| Value::Str(format!("s{v}"))),
+            (0u8..20).prop_map(|v| Value::Str(format!("s{v}").into())),
             (-100i64..100).prop_map(|v| Value::Float(v as f64 * 0.5)),
         ],
         1..300,

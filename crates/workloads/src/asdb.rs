@@ -15,6 +15,7 @@ use dbsens_engine::txn::{LockSpec, MutOp, Mutation, ProgramPool, TxOp, TxnGenera
 use dbsens_hwsim::rng::SimRng;
 use dbsens_storage::schema::{ColType, Schema};
 use dbsens_storage::value::{Row, Value};
+use std::sync::Arc;
 
 /// Real rows per scale-factor unit in the scaling table.
 const SCALING_ROWS_PER_SF: f64 = 6_000.0;
@@ -153,6 +154,8 @@ pub struct AsdbGenerator {
     delete_end: i64,
     /// Recycled program parts; spent programs are dismantled back into it.
     pool: ProgramPool,
+    /// The inserted rows' payload string, built once and shared by clone.
+    grow: Arc<str>,
 }
 
 impl AsdbGenerator {
@@ -169,6 +172,7 @@ impl AsdbGenerator {
             next_delete: start,
             delete_end: start + stripe,
             pool: ProgramPool::new(),
+            grow: "grow".into(),
         }
     }
 
@@ -239,11 +243,7 @@ impl TxnGenerator for AsdbGenerator {
                 let id = self.next_insert;
                 self.next_insert += 1;
                 let mut row = self.pool.values();
-                row.extend([
-                    Value::Int(id),
-                    Value::Int(1),
-                    Value::Str(self.pool.string("grow")),
-                ]);
+                row.extend([Value::Int(id), Value::Int(1), Value::Str(self.grow.clone())]);
                 let ops = [TxOp::Insert {
                     table: self.growing,
                     row,

@@ -19,6 +19,7 @@ use dbsens_engine::txn::{LockSpec, MutOp, Mutation, ProgramPool, TxOp, TxnGenera
 use dbsens_hwsim::rng::SimRng;
 use dbsens_storage::schema::{ColType, Schema};
 use dbsens_storage::value::{Row, Value};
+use std::sync::Arc;
 
 /// Real (paper-scale) rows per customer for each table.
 mod per_customer {
@@ -97,7 +98,7 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpceDb {
             vec![
                 Value::Int(i as i64),
                 Value::Int(1 + rng.next_below(3) as i64),
-                Value::Str(format!("Customer#{i}")),
+                Value::from(format!("Customer#{i}")),
                 Value::Str("cdata".into()),
             ]
         })
@@ -152,7 +153,7 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpceDb {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("SYM{i:05}")),
+                Value::from(format!("SYM{i:05}")),
                 Value::Str(SECTORS[i % 12].into()),
                 Value::Str("sdata".into()),
             ]
@@ -339,6 +340,31 @@ pub struct TpceGenerator {
     pool: ProgramPool,
     /// Scratch for the multi-entity transactions' pick lists.
     picks: Vec<(u64, i64)>,
+    /// Constant strings of the programs, built once and shared by clone.
+    lit: Literals,
+}
+
+/// The string constants TPC-E programs write. Each is allocated once per
+/// generator; cloning one into a row or a mutation bumps a refcount.
+#[derive(Debug)]
+struct Literals {
+    buy: Arc<str>,
+    sbmt: Arc<str>,
+    tdata: Arc<str>,
+    cmpt: Arc<str>,
+    updated: Arc<str>,
+}
+
+impl Literals {
+    fn new() -> Self {
+        Literals {
+            buy: "BUY".into(),
+            sbmt: "SBMT".into(),
+            tdata: "tdata".into(),
+            cmpt: "CMPT".into(),
+            updated: "updated".into(),
+        }
+    }
 }
 
 impl TpceGenerator {
@@ -352,6 +378,7 @@ impl TpceGenerator {
             next_trade_id: 1_000_000_000 + (client_id as i64) * 10_000_000,
             pool: ProgramPool::new(),
             picks: Vec::new(),
+            lit: Literals::new(),
         }
     }
 
@@ -417,12 +444,12 @@ impl TpceGenerator {
                 Value::Int(tid),
                 Value::Int(acct),
                 Value::Int(s_log),
-                Value::Str(self.pool.string("BUY")),
-                Value::Str(self.pool.string("SBMT")),
+                Value::Str(self.lit.buy.clone()),
+                Value::Str(self.lit.sbmt.clone()),
                 Value::Int(100),
                 Value::Float(30.0),
                 Value::Int(0),
-                Value::Str(self.pool.string("tdata")),
+                Value::Str(self.lit.tdata.clone()),
             ]);
             row
         };
@@ -430,7 +457,7 @@ impl TpceGenerator {
             let mut row = self.pool.values();
             row.extend([
                 Value::Int(tid),
-                Value::Str(self.pool.string("SBMT")),
+                Value::Str(self.lit.sbmt.clone()),
                 Value::Int(0),
             ]);
             row
@@ -474,13 +501,13 @@ impl TpceGenerator {
                 op: MutOp::AddInt(1),
             },
         ]);
-        let cmpt = MutOp::SetStr(self.pool.string("CMPT"));
+        let cmpt = MutOp::SetStr(self.lit.cmpt.clone());
         let trade_muts = self.muts([Mutation { col: 4, op: cmpt }]);
         let hist_row = {
             let mut row = self.pool.values();
             row.extend([
                 Value::Int(trade),
-                Value::Str(self.pool.string("CMPT")),
+                Value::Str(self.lit.cmpt.clone()),
                 Value::Int(0),
             ]);
             row
@@ -721,7 +748,7 @@ impl TpceGenerator {
         });
         for &(t, _) in &picks {
             let k = t as i64;
-            let upd = MutOp::SetStr(self.pool.string("updated"));
+            let upd = MutOp::SetStr(self.lit.updated.clone());
             let muts = self.muts([Mutation { col: 8, op: upd }]);
             ops.push(TxOp::Update {
                 table: self.t.trade,

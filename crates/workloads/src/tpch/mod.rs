@@ -270,13 +270,13 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpchDb {
             let complaint = rng.chance(0.003);
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("Supplier#{i:09}")),
+                Value::from(format!("Supplier#{i:09}")),
                 Value::Int(rng.next_below(25) as i64),
                 Value::Float(rng.next_below(20_000) as f64 / 2.0 - 1000.0),
                 Value::Str(if complaint {
                     "wait customercomplaints slyly".into()
                 } else {
-                    format!("quiet deposits {i}")
+                    format!("quiet deposits {i}").into()
                 }),
             ]
         })
@@ -300,9 +300,9 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpchDb {
             let cc = 10 + nat;
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("Customer#{i:09}")),
+                Value::from(format!("Customer#{i:09}")),
                 Value::Int(nat),
-                Value::Str(format!(
+                Value::from(format!(
                     "{cc}-{:03}-{:04}",
                     rng.next_below(1000),
                     rng.next_below(10_000)
@@ -340,16 +340,16 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpchDb {
             );
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("{c1} {c2}")),
-                Value::Str(format!("Manufacturer#{}", 1 + rng.next_below(5))),
-                Value::Str(format!(
+                Value::from(format!("{c1} {c2}")),
+                Value::from(format!("Manufacturer#{}", 1 + rng.next_below(5))),
+                Value::from(format!(
                     "Brand#{}{}",
                     1 + rng.next_below(5),
                     1 + rng.next_below(5)
                 )),
-                Value::Str(ty),
+                Value::from(ty),
                 Value::Int(1 + rng.next_below(50) as i64),
-                Value::Str(format!(
+                Value::from(format!(
                     "{} {}",
                     CONTAINERS[rng.next_below(8) as usize],
                     ["CASE", "BOX", "BAG", "JAR", "PACK"][rng.next_below(5) as usize]
@@ -469,7 +469,7 @@ pub fn build(sf: f64, scale: &ScaleCfg) -> TpchDb {
             Value::Int(orderdate),
             Value::Str(PRIORITIES[rng.next_below(5) as usize].into()),
             Value::Int(0),
-            Value::Str(comment),
+            Value::from(comment),
         ]);
     }
     let lineitem_n = lineitem_rows.len();

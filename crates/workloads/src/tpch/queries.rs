@@ -71,7 +71,7 @@ fn contains(col: usize, p: &str) -> Expr {
 fn in_strs(col: usize, vals: &[&str]) -> Expr {
     Expr::InList(
         Box::new(c(col)),
-        vals.iter().map(|v| Value::Str((*v).to_string())).collect(),
+        vals.iter().map(|&v| Value::from(v)).collect(),
     )
 }
 

@@ -32,7 +32,7 @@ fn db() -> Database {
                     } else {
                         Value::Int(i * 3 % 17)
                     },
-                    Value::Str(format!("s{}", i % 5)),
+                    Value::Str(format!("s{}", i % 5).into()),
                 ]
             })
             .collect(),
